@@ -37,7 +37,7 @@ let opt_cmd =
         circuit blif bench adder
     in
     let name = Cli.source_cli_name source in
-    let g = Cli.load_source_cli source in
+    let g = Cli.load_source_cli ~prog:"lookahead_opt" source in
     let options = Cli.driver_options ?time_limit () in
     let optimized = Run.tool ~options tool g in
     let metrics = Run.metrics ~original:g optimized in

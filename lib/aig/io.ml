@@ -119,10 +119,17 @@ let read_blif text =
   let by_output = Hashtbl.create 64 in
   List.iter (fun t -> Hashtbl.replace by_output t.output t) tables;
   let lev = Lev.create g in
+  (* Signals whose driver is being built: reaching one again means the
+     netlist has a combinational cycle through it. *)
+  let resolving = Hashtbl.create 64 in
   let rec build name =
     match Hashtbl.find_opt env name with
     | Some l -> l
     | None ->
+      if Hashtbl.mem resolving name then
+        failwith
+          (Printf.sprintf "blif: combinational cycle through signal %s" name);
+      Hashtbl.replace resolving name ();
       let t =
         match Hashtbl.find_opt by_output name with
         | Some t -> t
@@ -255,10 +262,15 @@ let read_bench text =
   List.iter
     (fun n -> Hashtbl.replace env n (Graph.add_input ~name:n g))
     (List.rev !inputs);
+  let resolving = Hashtbl.create 64 in
   let rec build name =
     match Hashtbl.find_opt env name with
     | Some l -> l
     | None ->
+      if Hashtbl.mem resolving name then
+        failwith
+          (Printf.sprintf "bench: combinational cycle through signal %s" name);
+      Hashtbl.replace resolving name ();
       let op, args =
         match Hashtbl.find_opt gates name with
         | Some x -> x

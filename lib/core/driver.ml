@@ -328,7 +328,7 @@ let one_round opts ~deadline g =
               opts.max_cone_inputs);
         None
       end
-      else if Par.Deadline.expired deadline then begin
+      else if Guard.Deadline.expired deadline then begin
         Obs.incr m_skip_deadline;
         Log.debug (fun m ->
             m "skip %s: optimization time budget exhausted" o.Network.name);
@@ -574,7 +574,7 @@ let optimize_with_stats ?(options = default) g0 =
   let deadline =
     match options.deadline with
     | Some d -> d
-    | None -> Par.Deadline.after options.time_limit_s
+    | None -> Guard.Deadline.after options.time_limit_s
   in
   (* Run-level guard context for the sequential finishing passes (SAT
      sweep, final CEC); per-output decomposition jobs get their own.
@@ -583,7 +583,7 @@ let optimize_with_stats ?(options = default) g0 =
   let run_guard = Guard.create options.guard_budget in
   (* Inner loop: decomposition rounds while the depth improves. *)
   let rec rounds i g touched =
-    if i >= options.max_rounds || Par.Deadline.expired deadline then
+    if i >= options.max_rounds || Guard.Deadline.expired deadline then
       (g, i, touched)
     else begin
       let g', n =
@@ -607,7 +607,7 @@ let optimize_with_stats ?(options = default) g0 =
     let g2 = polish g1 in
     let g' = if Aig.depth g2 <= Aig.depth g1 then g2 else g1 in
     if budget > 0 && Aig.depth g' < Aig.depth g
-       && not (Par.Deadline.expired deadline)
+       && not (Guard.Deadline.expired deadline)
     then outer (budget - 1) g' (rr + r) (touched + n)
     else (g', rr + r, touched + n)
   in

@@ -31,8 +31,7 @@ module Clock : sig
 end
 
 (** A single absolute deadline, shareable across every worker of a run
-    so a time budget means the same thing at [-j 1] and [-j 8].
-    (Moved here from [Par], which re-exports it.) *)
+    so a time budget means the same thing at [-j 1] and [-j 8]. *)
 module Deadline : sig
   type t
 

@@ -12,13 +12,12 @@ val of_net : ?guard:Guard.t -> Bdd.man -> Graph.t -> Bdd.t array
 
 (** [of_cluster man net ~nodes] builds the global functions of the
     listed nodes only — [nodes] must be a fanin-closed subset in
-    topological order (a {!Graph.cone}, or a {!Partition.cluster}'s
-    node list). Entries outside [nodes] are unspecified and must not be
-    read. Within one manager, every built entry is the same hash-consed
-    edge {!of_net} would produce, at the cost of the cluster instead of
-    the whole network — the per-output decomposition jobs and the
-    partitioned parallel engine both build exactly the cones they
-    read. *)
+    topological order, such as a {!Graph.cone}. Entries outside
+    [nodes] are unspecified and must not be read. Within one manager,
+    every built entry is the same hash-consed edge {!of_net} would
+    produce, at the cost of the cluster instead of the whole network —
+    the per-output decomposition jobs and the reconstruction step build
+    exactly the cones they read. *)
 val of_cluster :
   ?guard:Guard.t -> Bdd.man -> Graph.t -> nodes:int list -> Bdd.t array
 

@@ -5,12 +5,6 @@
    sequential loops) and the helping [await] (no blocking while work is
    queued, which makes nested submission deadlock-free). *)
 
-(* Clock and Deadline moved into [Guard] (PR 5) so the substrates below
-   the runtime (bdd, sat, timing) can share the deadline type without
-   depending on the pool; re-exported here to keep every call site. *)
-module Clock = Guard.Clock
-module Deadline = Guard.Deadline
-
 let env_jobs () =
   match Sys.getenv_opt "LOOKAHEAD_JOBS" with
   | None -> None
@@ -322,7 +316,7 @@ let map_reduce ?pool ~init ~f ~combine acc xs =
 
 (* Bounded-wave fork + submission-order merge. The affinity contract
    this encodes: any state a job builds privately (a per-job or
-   per-partition BDD manager, say) is touched by exactly one worker
+   per-worker BDD manager, say) is touched by exactly one worker
    domain until its future is awaited, after which the merge callback —
    always on the calling domain, always in submission order — is the
    only reader. The wave bound caps how many completed-but-unmerged

@@ -263,10 +263,18 @@ let build_adder kind n =
   | "skip" -> Circuits.Adders.carry_skip n
   | k -> invalid_arg (Printf.sprintf "unknown adder kind %s" k)
 
-let load_source_cli = function
+let load_source_cli ~prog source =
+  let read parse path =
+    match parse (read_file path) with
+    | g -> g
+    | exception Failure msg ->
+      Printf.eprintf "%s: %s: %s\n%!" prog path msg;
+      exit 2
+  in
+  match source with
   | Named name -> Circuits.Suite.build name
-  | Blif_file path -> Aig.Io.read_blif (read_file path)
-  | Bench_file path -> Aig.Io.read_bench (read_file path)
+  | Blif_file path -> read Aig.Io.read_blif path
+  | Bench_file path -> read Aig.Io.read_bench path
   | Adder (kind, n) -> build_adder kind n
 
 let msg_source_of_cli = function

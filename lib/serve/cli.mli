@@ -103,8 +103,9 @@ val resolve_source :
 
 val source_cli_name : source_cli -> string
 
-(** Build the circuit locally (reads BLIF/BENCH files). *)
-val load_source_cli : source_cli -> Aig.t
+(** Build the circuit locally (reads BLIF/BENCH files). A file the
+    reader rejects prints [prog: file: message] and exits 2. *)
+val load_source_cli : prog:string -> source_cli -> Aig.t
 
 (** The wire form: file sources are read and inlined, so the server
     never needs the client's filesystem. *)

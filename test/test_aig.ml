@@ -206,6 +206,56 @@ let prop_support =
       (* Structural support includes functional support. *)
       List.for_all (fun v -> List.mem v sup) (Tt.support tt))
 
+(* Malformed netlists must fail fast with a typed [Failure] naming the
+   problem: a cyclic input used to recurse until the stack overflowed.
+   Each row is (label, reader, text, expected message prefix, signals
+   the message may name). *)
+let test_reader_errors () =
+  let cases =
+    [
+      ( "blif two-gate cycle",
+        Aig.Io.read_blif,
+        ".model c\n.inputs a b\n.outputs y\n.names a x y\n11 1\n\
+         .names b y x\n11 1\n.end\n",
+        "blif: combinational cycle through signal ",
+        [ "x"; "y" ] );
+      ( "blif self-loop",
+        Aig.Io.read_blif,
+        ".model s\n.inputs a\n.outputs y\n.names a y y\n11 1\n.end\n",
+        "blif: combinational cycle through signal ",
+        [ "y" ] );
+      ( "bench cycle",
+        Aig.Io.read_bench,
+        "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n",
+        "bench: combinational cycle through signal ",
+        [ "y"; "z" ] );
+      ( "blif undriven signal",
+        Aig.Io.read_blif,
+        ".model u\n.inputs a\n.outputs y\n.names a w y\n11 1\n.end\n",
+        "blif: undriven signal ",
+        [ "w" ] );
+    ]
+  in
+  List.iter
+    (fun (label, read, text, prefix, signals) ->
+      let t0 = Sys.time () in
+      let msg =
+        match read text with
+        | _ -> Alcotest.failf "%s: parsed without error" label
+        | exception Failure m -> m
+      in
+      Alcotest.(check bool)
+        (label ^ ": fails within 1 s") true
+        (Sys.time () -. t0 < 1.0);
+      let n = String.length prefix in
+      Alcotest.(check string)
+        (label ^ ": message prefix") prefix
+        (String.sub msg 0 (min n (String.length msg)));
+      Alcotest.(check bool)
+        (label ^ ": names a signal on the problem (" ^ msg ^ ")") true
+        (List.mem (String.sub msg n (String.length msg - n)) signals))
+    cases
+
 (* Minimal substring check used by the Verilog test. *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -267,5 +317,6 @@ let () =
           prop_aag_roundtrip;
           prop_aig_binary_roundtrip;
           Alcotest.test_case "verilog" `Quick test_verilog_output;
+          Alcotest.test_case "reader errors" `Quick test_reader_errors;
         ] );
     ]

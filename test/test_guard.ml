@@ -1,8 +1,9 @@
-(* Tests for lib/guard: the injection spec language, the budget hooks,
-   and — the point of the subsystem — the driver's degradation ladder:
-   for every fault class an injected fault yields a run that completes,
-   stays CEC-equivalent to its input, and records exactly the injected
-   rungs in the [Det] Obs counters, bit-identically at any -j.
+(* Tests for lib/guard: the injection spec language, the monotonic
+   deadline, the budget hooks, and — the point of the subsystem — the
+   driver's degradation ladder: for every fault class an injected fault
+   yields a run that completes, stays CEC-equivalent to its input, and
+   records exactly the injected rungs in the [Det] Obs counters,
+   bit-identically at any -j.
 
    Every optimization here runs deadline-free (time_limit_s = infinity)
    unless the test is specifically about wall-clock expiry, so the only
@@ -72,6 +73,27 @@ let test_spec_seeded () =
   (* Not a hard guarantee for every pair, but 42/43 differ. *)
   Alcotest.(check bool) "different seed, different rules" true
     (Guard.Inject.to_string a <> Guard.Inject.to_string c)
+
+(* ------------------------------------------------------------------ *)
+(* Monotonic deadline                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_deadline () =
+  let d = Guard.Deadline.after 0.05 in
+  Alcotest.(check bool) "fresh deadline not expired" false
+    (Guard.Deadline.expired d);
+  Alcotest.(check bool) "remaining positive" true
+    (Guard.Deadline.remaining_s d > 0.0);
+  let stop = Guard.Clock.now_s () +. 0.08 in
+  while Guard.Clock.now_s () < stop do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) "expired after sleeping past it" true
+    (Guard.Deadline.expired d);
+  Alcotest.(check bool) "never never expires" false
+    (Guard.Deadline.expired Guard.Deadline.never);
+  Alcotest.(check bool) "never has infinite slack" true
+    (Guard.Deadline.remaining_s Guard.Deadline.never = infinity)
 
 (* ------------------------------------------------------------------ *)
 (* Budget hooks                                                        *)
@@ -513,6 +535,8 @@ let () =
           Alcotest.test_case "injected sat exhaustion" `Quick
             test_sat_injected_exhaustion;
         ] );
+      ( "deadline",
+        [ Alcotest.test_case "monotonic deadline" `Quick test_deadline ] );
       ( "degradation ladder",
         [
           Alcotest.test_case "bdd fault: approx→shrink rung" `Quick

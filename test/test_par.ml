@@ -1,7 +1,7 @@
 (* Tests for the deterministic domain-pool runtime: submission-order
    determinism, exception propagation out of workers, nested submission
-   without deadlock, per-worker init, the monotonic deadline, and a
-   parallel-vs-sequential bit-identity check of the table1 adder flow. *)
+   without deadlock, per-worker init, and a parallel-vs-sequential
+   bit-identity check of the table1 adder flow. *)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -174,27 +174,6 @@ let test_init_per_worker () =
         (Atomic.get inits >= 1 && Atomic.get inits <= jobs))
 
 (* ------------------------------------------------------------------ *)
-(* Deadline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_deadline () =
-  let d = Par.Deadline.after 0.05 in
-  Alcotest.(check bool) "fresh deadline not expired" false
-    (Par.Deadline.expired d);
-  Alcotest.(check bool) "remaining positive" true
-    (Par.Deadline.remaining_s d > 0.0);
-  let stop = Par.Clock.now_s () +. 0.08 in
-  while Par.Clock.now_s () < stop do
-    ignore (spin 1)
-  done;
-  Alcotest.(check bool) "expired after sleeping past it" true
-    (Par.Deadline.expired d);
-  Alcotest.(check bool) "never never expires" false
-    (Par.Deadline.expired Par.Deadline.never);
-  Alcotest.(check bool) "never has infinite slack" true
-    (Par.Deadline.remaining_s Par.Deadline.never = infinity)
-
-(* ------------------------------------------------------------------ *)
 (* Parallel vs sequential bit-identity of the table1 adder flow        *)
 (* ------------------------------------------------------------------ *)
 
@@ -240,7 +219,6 @@ let () =
         ] );
       ( "state",
         [ Alcotest.test_case "per-worker init" `Quick test_init_per_worker ] );
-      ("deadline", [ Alcotest.test_case "monotonic deadline" `Quick test_deadline ]);
       ( "lookahead",
         [
           Alcotest.test_case "adder optimize identical at -j1/-j4" `Slow

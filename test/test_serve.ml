@@ -359,8 +359,7 @@ let test_reset_restores_baseline () =
   Alcotest.(check int) "ite lookups zeroed" 0 s.Bdd.ite_lookups;
   Alcotest.(check int) "unique growths zeroed" 0 s.Bdd.unique_growths;
   Alcotest.(check int)
-    "unique capacity back to creation size" (1 lsl 12) s.Bdd.unique_capacity;
-  Alcotest.(check int) "transfer memo drained" 0 s.Bdd.transfer_memo_entries
+    "unique capacity back to creation size" (1 lsl 12) s.Bdd.unique_capacity
 
 let test_recycled_equals_fresh () =
   let fresh = bdd_workload (Bdd.create ()) in
@@ -394,23 +393,6 @@ let test_pool_recycles () =
   Bdd.Pool.release m2;
   Bdd.Pool.clear ();
   Alcotest.(check int) "clear drains the pool" 0 (Bdd.Pool.size ())
-
-let test_reset_invalidates_transfer_memo () =
-  let a = Bdd.create () in
-  let b = Bdd.create () in
-  let x = Bdd.band a (Bdd.var a 0) (Bdd.var a 1) in
-  let _ = Bdd.transfer ~src:a ~dst:b x in
-  Bdd.reset a;
-  (* After the reset [a] has a fresh uid, so [b]'s memo of the old
-     incarnation cannot alias the new nodes. *)
-  let y = Bdd.bor a (Bdd.var a 0) (Bdd.var a 2) in
-  let y' = Bdd.transfer ~src:a ~dst:b y in
-  Alcotest.(check (list int))
-    "post-reset transfer is semantically correct" [ 0; 2 ]
-    (Bdd.support b y');
-  Alcotest.(check (float 0.0))
-    "satcount agrees across the transfer" (Bdd.satcount a ~nvars:3 y)
-    (Bdd.satcount b ~nvars:3 y')
 
 (* ------------------------------------------------------------------ *)
 (* Per-job observation reset                                          *)
@@ -1078,8 +1060,6 @@ let () =
           Alcotest.test_case "recycled equals fresh" `Quick
             test_recycled_equals_fresh;
           Alcotest.test_case "pool recycles" `Quick test_pool_recycles;
-          Alcotest.test_case "reset invalidates transfer memo" `Quick
-            test_reset_invalidates_transfer_memo;
         ] );
       ( "obs-reset",
         [
