@@ -1267,7 +1267,7 @@ let check_report path =
           fail "check-report: %s: bdd.%s hits %d + misses %d <> lookups %d"
             path cache h m l
       | _ -> ())
-    [ "ite"; "restrict"; "compose" ];
+    [ "ite"; "restrict"; "compose"; "disjoint" ];
   (match (value "cec.sat_calls", value "cec.budget_exhausted") with
   | Some s, Some b when b > s ->
     fail "check-report: %s: cec.budget_exhausted %d > cec.sat_calls %d" path b

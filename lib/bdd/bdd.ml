@@ -15,7 +15,7 @@
    which keeps one canonical node per function-pair and makes [equal]
    one integer comparison.
 
-   The unique table and the ite/restrict/compose caches are
+   The unique table and the ite/restrict/compose/disjoint caches are
    open-addressing tables over packed int keys (no tuple allocation on
    lookup). The op caches are lossy (overwrite on collision), bounded,
    power-of-two sized, and grow by doubling under pressure up to a cap;
@@ -121,6 +121,7 @@ type man = {
   ite_cache : cache;
   restrict_cache : cache;
   compose_cache : cache;
+  disjoint_cache : cache;
   apply_memo : (string, int) Hashtbl.t;
   apply_memo_max : int;
   (* Per-manager scratch tables so size/satcount queries allocate
@@ -155,6 +156,7 @@ let create ?(cache_size = 1 lsl 14) ?(guard = Guard.none) () =
     ite_cache = cache_create (min (bits cache_size) 20) 20;
     restrict_cache = cache_create 10 18;
     compose_cache = cache_create 10 18;
+    disjoint_cache = cache_create 10 18;
     apply_memo = Hashtbl.create 256;
     apply_memo_max = 1 lsl 16;
     sat_val = [||];
@@ -310,7 +312,33 @@ let bor man f g = ite man f 0 g
 let bxor man f g = ite man f (g lxor 1) g
 let bimp man f g = ite man f g 0
 let beq man f g = ite man f g (g lxor 1)
-let implies man f g = ite man f g 0 = 0
+
+(* Emptiness of [f ∧ g] without building it: a cofactor walk that never
+   calls [mk], so it allocates no node, and stops at the first path
+   satisfying both sides. The symmetric key puts the smaller edge first;
+   the cached result is 0 (disjoint) or 1 (intersecting). *)
+let rec disjoint_rec man f g =
+  if f = 1 || g = 1 || f = g lxor 1 then true
+  else if f = 0 || g = 0 || f = g then false
+  else begin
+    let f, g = if f < g then (f, g) else (g, f) in
+    let r = cache_find man.disjoint_cache f g 0 in
+    if r >= 0 then r = 0
+    else begin
+      let v = min (topvar man f) (topvar man g) in
+      let f0, f1 = cof man v f in
+      let g0, g1 = cof man v g in
+      let d = disjoint_rec man f0 g0 && disjoint_rec man f1 g1 in
+      cache_put man.disjoint_cache f g 0 (if d then 0 else 1);
+      d
+    end
+  end
+
+let disjoint man f g =
+  Guard.tick_bdd man.guard ~site:"bdd.disjoint";
+  disjoint_rec man f g
+
+let implies man f g = disjoint man f (g lxor 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cofactor, composition, quantification.                              *)
@@ -552,6 +580,10 @@ type stats = {
   compose_lookups : int;
   compose_hits : int;
   compose_cache_growths : int;
+  disjoint_cache_capacity : int;
+  disjoint_lookups : int;
+  disjoint_hits : int;
+  disjoint_cache_growths : int;
   apply_memo_entries : int;
 }
 
@@ -573,6 +605,10 @@ let stats man =
     compose_lookups = man.compose_cache.c_lookups;
     compose_hits = man.compose_cache.c_hits;
     compose_cache_growths = man.compose_cache.c_grows;
+    disjoint_cache_capacity = man.disjoint_cache.c_mask + 1;
+    disjoint_lookups = man.disjoint_cache.c_lookups;
+    disjoint_hits = man.disjoint_cache.c_hits;
+    disjoint_cache_growths = man.disjoint_cache.c_grows;
     apply_memo_entries = Hashtbl.length man.apply_memo;
   }
 
@@ -580,6 +616,7 @@ let clear_caches man =
   cache_clear man.ite_cache;
   cache_clear man.restrict_cache;
   cache_clear man.compose_cache;
+  cache_clear man.disjoint_cache;
   Hashtbl.reset man.apply_memo;
   (* The satcount scratch is a per-node memo too: drop it (it rebuilds
      lazily at full store size), so long-lived managers don't carry one
@@ -626,6 +663,7 @@ let reset ?(cache_size = 1 lsl 14) ?(guard = Guard.none) man =
   cache_reset man.ite_cache (min (bits cache_size) 20);
   cache_reset man.restrict_cache 10;
   cache_reset man.compose_cache 10;
+  cache_reset man.disjoint_cache 10;
   (* Hashtbl.clear keeps the grown bucket arrays (warm), unlike the
      Hashtbl.reset in [clear_caches]; only length is observable. *)
   Hashtbl.clear man.apply_memo;

@@ -23,11 +23,11 @@ type t
     [guard] governs the manager: allocation past the budget's
     [bdd_node_ceiling] raises {!Guard.Blowup}[ Bdd_nodes] from the
     single allocation point, and every public operation ([ite] and the
-    derived connectives, [restrict], [compose], [apply_tt]) is an
-    injection tick site. A blowup leaves the manager internally
-    consistent (every stored node is canonical), so the caller may
-    discard results built from it and retry elsewhere. Default
-    {!Guard.none}: unlimited, no ticks. *)
+    derived connectives, [disjoint] and [implies], [restrict],
+    [compose], [apply_tt]) is an injection tick site. A blowup leaves
+    the manager internally consistent (every stored node is canonical),
+    so the caller may discard results built from it and retry
+    elsewhere. Default {!Guard.none}: unlimited, no ticks. *)
 val create : ?cache_size:int -> ?guard:Guard.t -> unit -> man
 
 (** The guard [create] was given ({!Guard.none} by default). *)
@@ -61,7 +61,16 @@ val equal : t -> t -> bool
 val is_false : man -> t -> bool
 val is_true : man -> t -> bool
 
-(** [implies m f g] decides [f <= g]. *)
+(** [disjoint m f g] decides [f ∧ g = 0] without building the
+    conjunction: a cofactor recursion that allocates no node
+    ({!allocated} is unchanged) and stops at the first assignment
+    satisfying both. Memoized in its own bounded op cache. The
+    don't-care tests of secondary simplification and MFS rest on it:
+    the product with the large care set is never stored. *)
+val disjoint : man -> t -> t -> bool
+
+(** [implies m f g] decides [f <= g], as [disjoint m f (bnot m g)]; it
+    allocates no node either. *)
 val implies : man -> t -> t -> bool
 
 (** [restrict m f i b] is the cofactor of [f] with [x_i = b]. *)
@@ -117,6 +126,10 @@ type stats = {
   compose_lookups : int;
   compose_hits : int;
   compose_cache_growths : int;
+  disjoint_cache_capacity : int;
+  disjoint_lookups : int;
+  disjoint_hits : int;
+  disjoint_cache_growths : int;
   apply_memo_entries : int;
 }
 

@@ -98,6 +98,9 @@ let m_restrict_misses = Obs.counter "bdd.restrict_misses"
 let m_compose_lookups = Obs.counter "bdd.compose_lookups"
 let m_compose_hits = Obs.counter "bdd.compose_hits"
 let m_compose_misses = Obs.counter "bdd.compose_misses"
+let m_disjoint_lookups = Obs.counter "bdd.disjoint_lookups"
+let m_disjoint_hits = Obs.counter "bdd.disjoint_hits"
+let m_disjoint_misses = Obs.counter "bdd.disjoint_misses"
 
 let record_bdd_stats man =
   if Obs.enabled () then begin
@@ -108,7 +111,7 @@ let record_bdd_stats man =
     Obs.add m_bdd_unique_growths s.Bdd.unique_growths;
     Obs.add m_bdd_cache_growths
       (s.Bdd.ite_cache_growths + s.Bdd.restrict_cache_growths
-     + s.Bdd.compose_cache_growths);
+     + s.Bdd.compose_cache_growths + s.Bdd.disjoint_cache_growths);
     Obs.add m_ite_lookups s.Bdd.ite_lookups;
     Obs.add m_ite_hits s.Bdd.ite_hits;
     Obs.add m_ite_misses (s.Bdd.ite_lookups - s.Bdd.ite_hits);
@@ -117,7 +120,10 @@ let record_bdd_stats man =
     Obs.add m_restrict_misses (s.Bdd.restrict_lookups - s.Bdd.restrict_hits);
     Obs.add m_compose_lookups s.Bdd.compose_lookups;
     Obs.add m_compose_hits s.Bdd.compose_hits;
-    Obs.add m_compose_misses (s.Bdd.compose_lookups - s.Bdd.compose_hits)
+    Obs.add m_compose_misses (s.Bdd.compose_lookups - s.Bdd.compose_hits);
+    Obs.add m_disjoint_lookups s.Bdd.disjoint_lookups;
+    Obs.add m_disjoint_hits s.Bdd.disjoint_hits;
+    Obs.add m_disjoint_misses (s.Bdd.disjoint_lookups - s.Bdd.disjoint_hits)
   end
 
 (* The exact SPCF is eligible only on narrow cones; the same predicate

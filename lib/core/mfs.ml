@@ -24,18 +24,15 @@ let simplify_network ~guard man net =
                      ~out:o))
               (Bdd.bfalse man) outs
           in
-          let dc = ref (Logic.Tt.const_false k) in
-          for m = 0 to (1 lsl k) - 1 do
-            let image = Network.Globals.minterm_image man globals net id m in
-            (* Satisfiability dc: image empty. Observability dc: image
-               never observable. *)
-            if Bdd.is_false man (Bdd.band man image observable) then
-              dc := Logic.Tt.lor_ !dc (Logic.Tt.of_minterms k [ m ])
-          done;
-          if not (Logic.Tt.is_const_false !dc) then begin
+          (* Satisfiability dc: image empty. Observability dc: image
+             never observable. *)
+          let dc =
+            Network.Globals.local_dc man globals net id ~care:observable
+          in
+          if not (Logic.Tt.is_const_false dc) then begin
             let on = nd.Network.func in
-            let lower = Logic.Tt.land_ on (Logic.Tt.lnot !dc) in
-            let upper = Logic.Tt.lor_ on !dc in
+            let lower = Logic.Tt.land_ on (Logic.Tt.lnot dc) in
+            let upper = Logic.Tt.lor_ on dc in
             let fanin_level i = levels.(nd.Network.fanins.(i)) in
             let cost sop =
               (Network.Levels.sop_depth sop ~fanin_level, Logic.Sop.num_literals sop)

@@ -16,16 +16,11 @@ let run man ~globals ~care net ~analysis ~out =
         if k > 0 && k <= 10 then begin
           (* Local don't-cares: minterms of the node's input space whose
              image never intersects the care set. *)
-          let dc = ref (Logic.Tt.const_false k) in
-          for m = 0 to (1 lsl k) - 1 do
-            let image = Network.Globals.minterm_image man globals net id m in
-            if Bdd.is_false man (Bdd.band man image care) then
-              dc := Logic.Tt.lor_ !dc (Logic.Tt.of_minterms k [ m ])
-          done;
-          if not (Logic.Tt.is_const_false !dc) then begin
+          let dc = Network.Globals.local_dc man globals net id ~care in
+          if not (Logic.Tt.is_const_false dc) then begin
             let on = nd.Network.func in
-            let lower = Logic.Tt.land_ on (Logic.Tt.lnot !dc) in
-            let upper = Logic.Tt.lor_ on !dc in
+            let lower = Logic.Tt.land_ on (Logic.Tt.lnot dc) in
+            let upper = Logic.Tt.lor_ on dc in
             let fanin_level i = levels.(nd.Network.fanins.(i)) in
             let depth_of sop = Network.Levels.sop_depth sop ~fanin_level in
             (* Pick the cheaper polarity of the minimized cover. *)

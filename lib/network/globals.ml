@@ -113,15 +113,28 @@ let cube_image man globals net id cube =
     (Bdd.btrue man)
     (Logic.Cube.literals cube)
 
-let minterm_image man globals net id m =
+(* Depth-first over the fanins in index order: [prefix] is the image of
+   the partial local minterm [m] fixing fanins [0 .. i-1]. The first
+   prefix that misses [care] (an empty prefix included) makes all
+   2^(k-i) completions don't-cares at once, and the care set is never
+   conjoined, so the test allocates nothing. *)
+let local_dc man globals net id ~care =
   let args = fanin_globals globals net id in
-  let acc = ref (Bdd.btrue man) in
-  Array.iteri
-    (fun i gi ->
-      let lit = if (m lsr i) land 1 = 1 then gi else Bdd.bnot man gi in
-      acc := Bdd.band man !acc lit)
-    args;
-  !acc
+  let k = Array.length args in
+  let dc = Array.make (1 lsl k) false in
+  let rec walk i m prefix =
+    if Bdd.disjoint man prefix care then
+      for j = 0 to (1 lsl (k - i)) - 1 do
+        dc.(m lor (j lsl i)) <- true
+      done
+    else if i < k then begin
+      let gi = args.(i) in
+      walk (i + 1) m (Bdd.band man prefix (Bdd.bnot man gi));
+      walk (i + 1) (m lor (1 lsl i)) (Bdd.band man prefix gi)
+    end
+  in
+  walk 0 0 (Bdd.btrue man);
+  Logic.Tt.of_fun k (fun m -> dc.(m))
 
 (* Memoized per (node, window): the fanin globals of [id] are stable BDD
    edges, so [Bdd.apply_tt]'s per-(tt, args) manager memo makes every

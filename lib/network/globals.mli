@@ -56,9 +56,17 @@ val update :
 val cube_image :
   Bdd.man -> Bdd.t array -> Graph.t -> int -> Logic.Cube.t -> Bdd.t
 
-(** [minterm_image man globals net id m] is the image of a single local
-    input vector [m] of node [id]. *)
-val minterm_image : Bdd.man -> Bdd.t array -> Graph.t -> int -> int -> Bdd.t
+(** [local_dc man globals net id ~care] is the local don't-care set of
+    node [id], as a truth table over its fanin positions: the local
+    minterms whose image (the conjunction of each fanin's global
+    function or its complement) misses [care]. That covers both the
+    satisfiability don't-cares (empty image) and the minterms that only
+    occur outside the care set. The minterms are walked depth-first
+    with a shared prefix product, a whole subtree is marked as soon as
+    its prefix misses [care], and [care] is tested with {!Bdd.disjoint}
+    and never conjoined. *)
+val local_dc :
+  Bdd.man -> Bdd.t array -> Graph.t -> int -> care:Bdd.t -> Logic.Tt.t
 
 (** [tt_image man globals net id tt] is the union of the images of the
     local minterms where [tt] is true (computed by applying [tt] to the

@@ -104,6 +104,31 @@ let prop_implies =
       Bdd.implies man fa fb
       = Tt.is_const_false (Tt.land_ a (Tt.lnot b)))
 
+(* [disjoint] against the conjunction it avoids building, on random
+   functions, constants and complement pairs; and it allocates no node. *)
+let prop_disjoint =
+  qtest "disjoint = is_false of band" ~count:300
+    (QCheck.triple (gen_tt 7) (gen_tt 7) QCheck.small_nat)
+    (fun (a, b, pick) ->
+      let man = Bdd.create () in
+      let fa = bdd_of_tt man a and fb = bdd_of_tt man b in
+      let fb =
+        match pick mod 5 with
+        | 0 -> Bdd.bfalse man
+        | 1 -> Bdd.btrue man
+        | 2 -> Bdd.bnot man fa
+        | 3 -> fa
+        | _ -> fb
+      in
+      let pairs = [ (fa, fb); (fb, fa); (fa, fa); (fb, Bdd.bnot man fb) ] in
+      List.for_all
+        (fun (f, g) ->
+          let before = Bdd.allocated man in
+          let d = Bdd.disjoint man f g in
+          Bdd.allocated man = before
+          && d = Bdd.is_false man (Bdd.band man f g))
+        pairs)
+
 (* ------------------------------------------------------------------ *)
 (* Random formula trees over 8 variables, cross-checked against         *)
 (* brute-force truth-table evaluation, plus canonical-form invariants.  *)
@@ -238,16 +263,34 @@ let test_stats_and_caches () =
   Alcotest.(check bool)
     "ite cache capacity is a power of two" true
     (s.Bdd.ite_cache_capacity land (s.Bdd.ite_cache_capacity - 1) = 0);
-  (* Exercise the satcount and apply_tt memos so clearing has work. *)
+  Alcotest.(check bool)
+    "disjoint cache capacity is a power of two" true
+    (s.Bdd.disjoint_cache_capacity land (s.Bdd.disjoint_cache_capacity - 1)
+    = 0);
+  (* Exercise the satcount, apply_tt and disjoint memos so clearing has
+     work. *)
   ignore (Bdd.satcount man ~nvars:3 f);
   ignore (Bdd.apply_tt man (Tt.land_ (Tt.var 2 0) (Tt.var 2 1)) [| x; z |]);
   Alcotest.(check bool)
     "apply memo populated" true
     ((Bdd.stats man).Bdd.apply_memo_entries > 0);
+  let xy = Bdd.band man x y in
+  let d = Bdd.disjoint man f (Bdd.bnot man xy) in
+  Alcotest.(check bool) "repeat disjoint agrees" d
+    (Bdd.disjoint man f (Bdd.bnot man xy));
+  let s = Bdd.stats man in
+  Alcotest.(check bool)
+    "disjoint repeat is a cache hit" true
+    (s.Bdd.disjoint_lookups > 0 && s.Bdd.disjoint_hits > 0);
   (* Clearing the caches must not change any function. *)
   Bdd.clear_caches man;
   let s' = Bdd.stats man in
   Alcotest.(check int) "apply memo cleared" 0 s'.Bdd.apply_memo_entries;
+  let hits = s'.Bdd.disjoint_hits in
+  Alcotest.(check bool) "disjoint unchanged after clear" d
+    (Bdd.disjoint man f (Bdd.bnot man xy));
+  Alcotest.(check int) "disjoint cache cleared" hits
+    (Bdd.stats man).Bdd.disjoint_hits;
   Alcotest.(check bool)
     "f unchanged after clear" true
     (Bdd.equal f (Bdd.bor man (Bdd.band man x y) (Bdd.bxor man y z)));
@@ -285,6 +328,7 @@ let () =
           prop_support;
           prop_exists;
           prop_implies;
+          prop_disjoint;
           prop_formula_crosscheck;
           prop_formula_ite_band_bxor;
           prop_formula_exists;

@@ -265,6 +265,57 @@ let test_optimize_idempotent_on_shallow () =
   let opt = Lookahead.optimize g in
   Alcotest.(check bool) "no depth regression" true (Aig.depth opt <= Aig.depth g)
 
+(* --- local don't-cares ----------------------------------------------------- *)
+
+(* The full cube of local minterm [m] over [k] fanin positions. *)
+let minterm_cube k m =
+  Logic.Cube.of_literals (List.init k (fun i -> (i, (m lsr i) land 1 = 1)))
+
+(* The pruned depth-first walk must mark exactly the minterms the
+   one-product-per-minterm reference marks, for every node with up to 10
+   fanins and care sets ranging from false to true. *)
+let prop_local_dc_reference =
+  qtest ~count:30 "local_dc = per-minterm reference" gen_seed (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let inputs = 12 in
+      let g = random_aig ~inputs ~gates:160 ~outputs:8 seed in
+      let net = Network.of_aig ~k:(4 + Random.State.int st 7) g in
+      let man = Bdd.create () in
+      let globals = Network.Globals.of_net man net in
+      let ids = Network.topo_order net in
+      let random_global () =
+        globals.(List.nth ids (Random.State.int st (List.length ids)))
+      in
+      let cares =
+        [ Bdd.btrue man;
+          Bdd.bfalse man;
+          Bdd.apply_tt man (Tt.random st inputs)
+            (Array.init inputs (Bdd.var man));
+          random_global ();
+          Bdd.bnot man (random_global ());
+          Bdd.bor man (random_global ()) (random_global ()) ]
+      in
+      List.for_all
+        (fun id ->
+          Network.is_input net id
+          ||
+          let k = Array.length (Network.node net id).Network.fanins in
+          k > 10
+          || List.for_all
+               (fun care ->
+                 let reference =
+                   Tt.of_fun k (fun m ->
+                       Bdd.is_false man
+                         (Bdd.band man
+                            (Network.Globals.cube_image man globals net id
+                               (minterm_cube k m))
+                            care))
+                 in
+                 Tt.equal reference
+                   (Network.Globals.local_dc man globals net id ~care))
+               cares)
+        ids)
+
 (* --- tt_image memoization -------------------------------------------------- *)
 
 let test_tt_image_memoized () =
@@ -301,7 +352,8 @@ let test_tt_image_memoized () =
                 List.fold_left
                   (fun acc m ->
                     Bdd.bor man acc
-                      (Network.Globals.minterm_image man globals net id m))
+                      (Network.Globals.cube_image man globals net id
+                         (minterm_cube k m)))
                   (Bdd.bfalse man) (Tt.minterms w)
               in
               Alcotest.(check bool) "cached = uncached reference" true
@@ -338,6 +390,7 @@ let () =
           prop_mfs_equivalent;
           Alcotest.test_case "unobservable logic" `Quick test_mfs_removes_unobservable;
         ] );
+      ("local-dc", [ prop_local_dc_reference ]);
       ( "globals-memo",
         [ Alcotest.test_case "tt_image memoization" `Slow test_tt_image_memoized ] );
     ]

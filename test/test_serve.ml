@@ -342,12 +342,13 @@ let bdd_workload m =
       (List.init 8 (fun i -> Bdd.bor m (v i) (v ((i + 3) mod 11))))
   in
   let y = Bdd.bxor m x (Bdd.ite m (v 9) x (v 10)) in
+  let d = Bdd.disjoint m x y && Bdd.disjoint m y (Bdd.bnot m x) in
   let s = Bdd.stats m in
-  ( Bdd.satcount m ~nvars:11 y,
+  ( (Bdd.satcount m ~nvars:11 y, d),
     Bdd.size m y,
     s.Bdd.live_nodes,
-    s.Bdd.ite_lookups,
-    s.Bdd.ite_hits,
+    (s.Bdd.ite_lookups, s.Bdd.disjoint_lookups),
+    (s.Bdd.ite_hits, s.Bdd.disjoint_hits),
     s.Bdd.unique_growths )
 
 let test_reset_restores_baseline () =
@@ -357,6 +358,11 @@ let test_reset_restores_baseline () =
   let s = Bdd.stats m in
   Alcotest.(check int) "live nodes back to zero" 0 s.Bdd.live_nodes;
   Alcotest.(check int) "ite lookups zeroed" 0 s.Bdd.ite_lookups;
+  Alcotest.(check int) "disjoint lookups zeroed" 0 s.Bdd.disjoint_lookups;
+  Alcotest.(check int) "disjoint hits zeroed" 0 s.Bdd.disjoint_hits;
+  Alcotest.(check int)
+    "disjoint cache back to creation size" (1 lsl 10)
+    s.Bdd.disjoint_cache_capacity;
   Alcotest.(check int) "unique growths zeroed" 0 s.Bdd.unique_growths;
   Alcotest.(check int)
     "unique capacity back to creation size" (1 lsl 12) s.Bdd.unique_capacity
